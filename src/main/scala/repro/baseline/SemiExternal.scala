@@ -24,12 +24,21 @@ final class EdgeStore private (val loRank: Array[Int], val hiRank: Array[Int]) {
     edgesRead += (until - from)
     Array.tabulate(until - from)(i => (loRank(from + i), hiRank(from + i)))
   }
+
+  /** Read edges `[from, until)` into positions `[from, until)` of `lo` and
+    * `hi`, counted like [[readRange]] but without boxing a tuple per edge.
+    */
+  def readInto(from: Int, until: Int, lo: Array[Int], hi: Array[Int]): Unit = {
+    System.arraycopy(loRank, from, lo, from, until - from)
+    System.arraycopy(hiRank, from, hi, from, until - from)
+    edgesRead += (until - from)
+  }
 }
 
 object EdgeStore {
   /** Sort the edges of `g` by decreasing edge weight (ascending max rank). */
   def fromGraph(g: WGraph): EdgeStore = {
-    val m = g.m.toInt
+    val m = Math.toIntExact(g.m)
     val lo = new Array[Int](m)
     val hi = new Array[Int](m)
     var i = 0
@@ -52,25 +61,35 @@ final case class SeResult(communities: Seq[Community], edgesRead: Long,
 /** LocalSearch-SE: LocalSearch with each prefix's new edges loaded
   * sequentially from the [[EdgeStore]]. Total I/O equals the edges of the
   * final prefix; resident memory peaks at the final prefix size — orders of
-  * magnitude below the OnlineAll-SE budget.
+  * magnitude below the OnlineAll-SE budget. The edges read stay in two int
+  * arrays in storage order, from which [[WGraph.fromStoredEdges]] builds each
+  * round's prefix without sorting.
   */
 object LocalSearchSE {
 
   def topK(g: WGraph, store: EdgeStore, k: Int, gamma: Int,
            delta: Double = 2.0): SeResult = {
-    val buffered = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
+    require(k >= 1, "k must be positive")
+    require(delta > 1.0, "growth ratio must exceed 1")
+    require(store.totalEdges == g.m,
+      s"edge store holds ${store.totalEdges} edges but the graph has ${g.m}")
+    // The edges read so far, in storage order; each round appends the new ones.
+    var lo = Array.emptyIntArray
+    var hi = Array.emptyIntArray
     var p = math.min(g.n, k + gamma)
     var loaded = 0
     var done = false
     var prefix: WGraph = null
     var res: repro.core.CvsResult = null
     while (!done) {
-      val need = g.prefixEdges(p).toInt
+      val need = Math.toIntExact(g.prefixEdges(p))
       if (need > loaded) {
-        buffered ++= store.readRange(loaded, need)
+        lo = java.util.Arrays.copyOf(lo, need)
+        hi = java.util.Arrays.copyOf(hi, need)
+        store.readInto(loaded, need, lo, hi)
         loaded = need
       }
-      prefix = WGraph.fromRanked(g.weights.take(p), g.origId.take(p), buffered)
+      prefix = WGraph.fromStoredEdges(g.weights.take(p), g.origId.take(p), lo, hi, loaded)
       res = CountIC.run(prefix, p, gamma)
       if (res.count >= k || p == g.n) done = true
       else {

@@ -146,6 +146,55 @@ object WGraph {
     fromRankedPairs(n, weights, origId, buf)
   }
 
+  /** Build the top-`weights.length` prefix from its first `m` edges as an
+    * edge store lists them: `lo(i) < hi(i) < n`, ascending by `(hi, lo)`.
+    * In that order `adjHi(u)` is a contiguous, already sorted slice of `lo`,
+    * and filling `adjLo` in stream order leaves each of its rows sorted too,
+    * so no sort, tuple or hash set is needed. An edge out of that order is
+    * rejected, since it would silently give a wrong graph.
+    */
+  def fromStoredEdges(weights: Array[Double], origId: Array[Long],
+                      lo: Array[Int], hi: Array[Int], m: Int): WGraph = {
+    val n = weights.length
+    require(m >= 0 && m <= lo.length && m <= hi.length,
+      s"$m edges requested from arrays of ${lo.length} and ${hi.length}")
+    val loCnt = new Array[Int](n)
+    var prevLo = -1
+    var prevHi = -1
+    var i = 0
+    while (i < m) {
+      val a = lo(i)
+      val b = hi(i)
+      if (a < 0 || a >= b || b >= n || b < prevHi || (b == prevHi && a <= prevLo))
+        throw new IllegalArgumentException(
+          s"edge $i ($a, $b) is not in storage order (lo < hi < $n, ascending by (hi, lo))")
+      loCnt(a) += 1
+      prevLo = a
+      prevHi = b
+      i += 1
+    }
+    val adjHi = new Array[Array[Int]](n)
+    val adjLo = new Array[Array[Int]](n)
+    var u = 0
+    i = 0
+    while (u < n) {
+      val start = i
+      while (i < m && hi(i) == u) i += 1
+      adjHi(u) = java.util.Arrays.copyOfRange(lo, start, i)
+      adjLo(u) = new Array[Int](loCnt(u))
+      u += 1
+    }
+    java.util.Arrays.fill(loCnt, 0)
+    i = 0
+    while (i < m) {
+      val a = lo(i)
+      adjLo(a)(loCnt(a)) = hi(i)
+      loCnt(a) += 1
+      i += 1
+    }
+    new WGraph(n, weights, origId, adjHi, adjLo)
+  }
+
   private def fromRankedPairs(n: Int, weights: Array[Double], origId: Array[Long],
                               pairs: mutable.ArrayBuffer[(Int, Int)]): WGraph = {
     val hiCnt = new Array[Int](n) // |adjHi(u)| where u is the larger rank

@@ -117,6 +117,58 @@ class SemiExternalSpec extends AnyFunSuite {
     assert(store.edgesRead == 7)
   }
 
+  test("EdgeStore.readInto copies what readRange returns and counts it") {
+    val store = EdgeStore.fromGraph(Fixtures.paperLike)
+    val lo = new Array[Int](store.totalEdges)
+    val hi = new Array[Int](store.totalEdges)
+    store.readInto(0, 5, lo, hi)
+    store.readInto(5, store.totalEdges, lo, hi)
+    assert(store.edgesRead == store.totalEdges)
+    assert(lo.zip(hi).toSeq == store.readRange(0, store.totalEdges).toSeq)
+  }
+
+  // (graph, γ, k) whose LocalSearch needs at least three growth rounds.
+  private val multiRound = Seq(
+    ("localPowerLaw(200, 3, 1)", GraphGen.localPowerLaw(200, 3, 1), 2, 3),
+    ("localPowerLaw(120, 4, 1)", GraphGen.localPowerLaw(120, 4, 1), 3, 5),
+    ("localPowerLaw(120, 5, 2)", GraphGen.localPowerLaw(120, 5, 2), 4, 3),
+  )
+
+  for ((name, g, gamma, k) <- multiRound)
+    test(s"LocalSearch-SE over many rounds matches LocalSearch exactly ($name, γ=$gamma, k=$k)") {
+      val (expected, stats) = LocalSearch.topK(g, k, gamma)
+      assert(stats.rounds >= 3, s"only ${stats.rounds} rounds")
+      val res = LocalSearchSE.topK(g, EdgeStore.fromGraph(g), k, gamma)
+      assert(res.communities.length == expected.length)
+      for ((c, e) <- res.communities.zip(expected)) {
+        assert(c.keyId == e.keyId)
+        assert(c.influence == e.influence)
+        assert(c.members.toSeq == e.members.toSeq)
+      }
+      assert(res.edgesRead == g.prefixEdges(stats.finalPrefix))
+      assert(res.peakResidentEdges == res.edgesRead)
+    }
+
+  test("LocalSearch-SE rejects k < 1") {
+    val g = Fixtures.paperLike
+    val e = intercept[IllegalArgumentException](LocalSearchSE.topK(g, EdgeStore.fromGraph(g), 0, 3))
+    assert(e.getMessage.contains("k must be positive"))
+  }
+
+  test("LocalSearch-SE rejects a growth ratio of at most 1") {
+    val g = Fixtures.paperLike
+    val e = intercept[IllegalArgumentException] {
+      LocalSearchSE.topK(g, EdgeStore.fromGraph(g), 2, 3, delta = 1.0)
+    }
+    assert(e.getMessage.contains("growth ratio must exceed 1"))
+  }
+
+  test("LocalSearch-SE rejects a store built from another graph") {
+    val other = EdgeStore.fromGraph(GraphGen.localRandom(30, 4.0, 1))
+    val e = intercept[IllegalArgumentException](LocalSearchSE.topK(Fixtures.paperLike, other, 2, 3))
+    assert(e.getMessage.contains("edge store holds"))
+  }
+
   test("LocalSearch-SE matches LocalSearch and reads only the final prefix") {
     val g = GraphGen.localPowerLaw(150, 5, 6)
     val store = EdgeStore.fromGraph(g)

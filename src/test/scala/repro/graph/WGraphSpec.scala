@@ -2,6 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
+import repro.baseline.EdgeStore
 import repro.gen.GraphGen
 
 class WGraphSpec extends AnyFunSuite {
@@ -107,6 +108,54 @@ class WGraphSpec extends AnyFunSuite {
     val b = WGraph.fromRanked(w, ids, Seq((1, 0), (1, 2)))
     assert(a.m == 2 && b.m == 2)
     assert(a.adjHi(1).toSeq == b.adjHi(1).toSeq)
+  }
+
+  for (seed <- 1 to 4)
+    test(s"fromStoredEdges builds the same prefixes as fromRanked (seed=$seed)") {
+      for (h <- Seq(GraphGen.localRandom(60, 5.0, seed), GraphGen.localPowerLaw(80, 4, seed))) {
+        val store = EdgeStore.fromGraph(h)
+        val lo = new Array[Int](store.totalEdges)
+        val hi = new Array[Int](store.totalEdges)
+        store.readInto(0, store.totalEdges, lo, hi)
+        for (p <- Seq(0, 1, 7, h.n / 3, h.n / 2, h.n)) {
+          val m = h.prefixEdges(p).toInt
+          val w = h.weights.take(p)
+          val ids = h.origId.take(p)
+          val built = WGraph.fromStoredEdges(w, ids, lo, hi, m)
+          val ref = WGraph.fromRanked(w, ids, lo.take(m).zip(hi.take(m)))
+          assert(built.n == p)
+          for (u <- 0 until p) {
+            assert(built.adjHi(u).toSeq == ref.adjHi(u).toSeq, s"adjHi($u) at p=$p")
+            assert(built.adjLo(u).toSeq == ref.adjLo(u).toSeq, s"adjLo($u) at p=$p")
+          }
+          assert(built.cumSize.toSeq == ref.cumSize.toSeq, s"cumSize at p=$p")
+        }
+      }
+    }
+
+  private def storedEdges(edges: (Int, Int)*): WGraph =
+    WGraph.fromStoredEdges(Array(4.0, 3.0, 2.0, 1.0), Array(0L, 1L, 2L, 3L),
+      edges.map(_._1).toArray, edges.map(_._2).toArray, edges.length)
+
+  test("fromStoredEdges accepts edges in storage order") {
+    val h = storedEdges((0, 1), (0, 2), (1, 2), (0, 3))
+    assert(h.m == 4 && h.adjHi(2).toSeq == Seq(0, 1) && h.adjLo(0).toSeq == Seq(1, 2, 3))
+  }
+
+  test("fromStoredEdges rejects edges out of storage order") {
+    intercept[IllegalArgumentException](storedEdges((0, 2), (0, 1))) // max rank descends
+    intercept[IllegalArgumentException](storedEdges((1, 2), (0, 2))) // lo descends
+    intercept[IllegalArgumentException](storedEdges((0, 1), (0, 1))) // repeated edge
+  }
+
+  test("fromStoredEdges rejects edges out of range or not oriented lo < hi") {
+    intercept[IllegalArgumentException](storedEdges((0, 4)))  // hi outside the prefix
+    intercept[IllegalArgumentException](storedEdges((-1, 2))) // negative rank
+    intercept[IllegalArgumentException](storedEdges((2, 1)))  // lo > hi
+    intercept[IllegalArgumentException](storedEdges((1, 1)))  // self-loop
+    intercept[IllegalArgumentException] { // more edges than the arrays hold
+      WGraph.fromStoredEdges(Array(2.0, 1.0), Array(0L, 1L), Array(0), Array(1), 2)
+    }
   }
 
   test("random graphs: degree sum equals 2m") {
